@@ -720,21 +720,14 @@ func cmdRender(args []string) error {
 // each FGT/IEGT solve (0/1 = sequential). Split out so tests can mount it
 // on httptest servers.
 func newServerHandler(logger *slog.Logger, sweepPar int) *server.Handler {
-	// The factory closure runs per request, after rec is set below; the nil
-	// guard only covers the construction window.
-	var rec *fairtask.MetricsRecorder
 	h := server.New(func(algorithm string, seed int64) (fairtask.Assigner, error) {
-		opt := fairtask.Options{
+		return fairtask.NewAssigner(fairtask.Options{
 			Algorithm:     fairtask.Algorithm(algorithm),
 			Seed:          seed,
 			SweepParallel: sweepPar,
-		}
-		if rec != nil {
-			opt.Recorder = rec
-		}
-		return fairtask.NewAssigner(opt)
+		})
 	})
-	rec = fairtask.NewMetricsRecorder(h.Registry)
+	rec := fairtask.NewMetricsRecorder(h.Registry)
 	// Seed every algorithm's labeled metric families so dashboards and rate()
 	// queries see them at zero from the first scrape instead of appearing
 	// only after the first solve.

@@ -38,7 +38,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"fairtask/internal/assign"
 	"fairtask/internal/audit"
@@ -128,9 +127,9 @@ type (
 	// Manhattan is the L1 metric alternative.
 	Manhattan = geo.Manhattan
 	// Recorder receives telemetry events from the solve path (candidate
-	// generation, per-iteration convergence, per-center solves, whole
-	// assignments). Implementations must be concurrency-safe; nil disables
-	// telemetry at no cost.
+	// generation, per-center solves with their strategy-switch totals,
+	// whole assignments). Implementations must be concurrency-safe; nil
+	// disables telemetry at no cost.
 	Recorder = obs.Recorder
 	// MetricsRegistry is a concurrency-safe registry of counters, gauges
 	// and histograms with Prometheus text-format exposition.
@@ -459,9 +458,10 @@ type Options struct {
 	// NewSolvePool at startup and Close it at shutdown. Nil keeps the
 	// per-call fan-out bounded by Parallelism.
 	Pool *SolvePool
-	// Recorder receives telemetry from candidate generation, game
-	// iterations, and solves. Nil (the default) disables telemetry with no
-	// measurable overhead.
+	// Recorder receives telemetry from candidate generation and solves,
+	// emitted by the platform layer from the solvers' results. Nil (the
+	// default) disables telemetry with no measurable overhead. NewAssigner
+	// ignores it: an Assigner carries no telemetry of its own.
 	Recorder Recorder
 	// Audit re-verifies every produced assignment with the independent
 	// auditor (route structure, deadline feasibility, payoff summary, VDPS
@@ -522,7 +522,6 @@ func (a fgtAssigner) Assign(ctx context.Context, g *vdps.Generator) (*game.Resul
 		UsePriorities:  a.opt.UsePriorities,
 		Trace:          a.opt.Trace,
 		RandomOrder:    a.opt.RandomOrder,
-		Recorder:       a.opt.Recorder,
 	})
 }
 
@@ -540,7 +539,6 @@ func (a iegtAssigner) Assign(ctx context.Context, g *vdps.Generator) (*game.Resu
 		Parallel:      a.opt.SweepParallel,
 		Trace:         a.opt.Trace,
 		MutationRate:  a.opt.MutationRate,
-		Recorder:      a.opt.Recorder,
 	})
 }
 
@@ -587,23 +585,6 @@ func platformOptions(opt Options) platform.Options {
 	return popt
 }
 
-// auditResult runs the independent auditor over a solve result when
-// Options.Audit is set, reusing the solve's candidate generator. A violation
-// fails the solve with the wrapped *AuditError.
-func auditResult(in *Instance, g *vdps.Generator, algorithm string, res *Result, opt Options) error {
-	if !opt.Audit {
-		return nil
-	}
-	aopt := auditOptions(opt)
-	aopt.Generator = g
-	aopt.Algorithm = algorithm
-	aopt.Converged = res.Converged
-	if rep := audit.Run(in, res.Assignment, &res.Summary, aopt); !rep.OK() {
-		return fmt.Errorf("fairtask: %s solve failed verification: %w", algorithm, rep.Err())
-	}
-	return nil
-}
-
 // auditOptions derives the audit configuration matching a solve's options.
 func auditOptions(opt Options) AuditOptions {
 	return AuditOptions{
@@ -623,28 +604,11 @@ func Audit(in *Instance, a *Assignment, sum *Summary, opt AuditOptions) *AuditRe
 	return audit.Run(in, a, sum, opt)
 }
 
-// assignRecorded runs the solver and emits a SolveEvent on success.
-func assignRecorded(ctx context.Context, in *Instance, g *vdps.Generator, solver Assigner, rec Recorder) (*Result, error) {
-	start := time.Now()
-	res, err := solver.Assign(ctx, g)
-	if err == nil && rec != nil {
-		rec.RecordSolve(obs.SolveEvent{
-			Algorithm:  solver.Name(),
-			CenterID:   in.CenterID,
-			Workers:    len(in.Workers),
-			Points:     len(in.Points),
-			Iterations: res.Iterations,
-			Converged:  res.Converged,
-			Elapsed:    time.Since(start),
-		})
-	}
-	return res, err
-}
-
 // SolveSampled is Solve with sampled candidate generation instead of the
 // exact subset dynamic program: randomized greedy route growth makes large
 // or unlimited-maxDP instances tractable at the cost of completeness (see
-// the vdps package documentation). opt.VDPS is ignored.
+// the vdps package documentation). The solve runs once: opt.VDPS, Retry,
+// Degrade and Pool are ignored.
 func SolveSampled(in *Instance, sample SampleVDPSOptions, opt Options) (*Result, error) {
 	return SolveSampledContext(context.Background(), in, sample, opt)
 }
@@ -656,19 +620,12 @@ func SolveSampledContext(ctx context.Context, in *Instance, sample SampleVDPSOpt
 	if err != nil {
 		return nil, err
 	}
-	if sample.Recorder == nil {
-		sample.Recorder = opt.Recorder
-	}
-	g, err := vdps.GenerateSampledContext(ctx, in, sample)
+	res, rep, err := platform.SolveSampled(ctx, in, solver, sample, platformOptions(opt))
 	if err != nil {
 		return nil, err
 	}
-	res, err := assignRecorded(ctx, in, g, solver, opt.Recorder)
-	if err != nil {
-		return nil, err
-	}
-	if err := auditResult(in, g, solver.Name(), res, opt); err != nil {
-		return nil, err
+	if opt.Audit && rep != nil && !rep.OK() {
+		return nil, fmt.Errorf("fairtask: %s solve failed verification: %w", solver.Name(), rep.Err())
 	}
 	return res, nil
 }

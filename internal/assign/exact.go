@@ -48,10 +48,12 @@ func Score(payoffs []float64, lambda float64) float64 {
 // Name implements Assigner.
 func (Exact) Name() string { return "EXACT" }
 
-// Assign implements Assigner.
+// Assign implements Assigner: an exhaustive oracleEnumerate walk keeping the
+// first joint strategy whose Score beats the best so far by more than 1e-12,
+// starting from the all-null baseline.
 func (e Exact) Assign(ctx context.Context, g *vdps.Generator) (*game.Result, error) {
-	s := game.NewState(g)
-	if len(s.Current) == 0 {
+	n := len(g.Instance().Workers)
+	if n == 0 {
 		return nil, game.ErrNoWorkers
 	}
 	lambda := e.Lambda
@@ -60,69 +62,20 @@ func (e Exact) Assign(ctx context.Context, g *vdps.Generator) (*game.Result, err
 	} else if lambda == 0 {
 		lambda = 1
 	}
-	limit := e.MaxJointStrategies
-	if limit <= 0 {
-		limit = 5e6
-	}
-	space := 1.0
-	for w := range s.Current {
-		space *= float64(len(s.Strategies[w]) + 1)
-		if space > limit {
-			return nil, ErrSearchTooLarge
-		}
-	}
-
-	n := len(s.Current)
-	payoffs := make([]float64, n)
 	best := make([]int, n)
-	cur := make([]int, n)
-	for i := range best {
-		best[i] = game.Null
-		cur[i] = game.Null
+	for w := range best {
+		best[w] = game.Null
 	}
-	bestScore := Score(payoffs, lambda) // all-null baseline
-
-	var leaves int
-	canceled := false
-	var rec func(w int)
-	rec = func(w int) {
-		if canceled {
-			return
+	bestScore := Score(make([]float64, n), lambda) // all-null baseline
+	s, err := oracleEnumerate(ctx, g, e.MaxJointStrategies, func(s *game.State, payoffs []float64) {
+		if sc := Score(payoffs, lambda); sc > bestScore+1e-12 {
+			bestScore = sc
+			copy(best, s.Current)
 		}
-		if w == n {
-			leaves++
-			// Poll cancellation every 8192 complete joint strategies.
-			if leaves&0x1fff == 0 && ctx.Err() != nil {
-				canceled = true
-				return
-			}
-			if sc := Score(payoffs, lambda); sc > bestScore+1e-12 {
-				bestScore = sc
-				copy(best, cur)
-			}
-			return
-		}
-		// Null choice.
-		payoffs[w] = 0
-		rec(w + 1)
-		for si := range s.Strategies[w] {
-			if !s.Available(w, si) {
-				continue
-			}
-			s.Switch(w, si)
-			cur[w] = si
-			payoffs[w] = s.Strategies[w][si].Payoff
-			rec(w + 1)
-			s.Switch(w, game.Null)
-			cur[w] = game.Null
-			payoffs[w] = 0
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	rec(0)
-	if canceled {
-		return nil, ctx.Err()
-	}
-
 	for w, si := range best {
 		if si != game.Null {
 			s.Switch(w, si)

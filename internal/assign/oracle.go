@@ -14,8 +14,8 @@ import (
 // joint strategy space (every worker picks the null strategy or one of its
 // VDPSs, point-disjointness enforced through game.State) and evaluates a
 // caller-chosen objective at each leaf. It is exponential by construction
-// and guarded by the same search-space cap as Exact; its only job is to be
-// obviously correct on tiny instances.
+// and guarded by a search-space cap; its only job is to be obviously correct
+// on tiny instances. Exact is the same walk with a Score visitor.
 
 // OracleVector is the leximin oracle's answer: the optimal ascending-sorted
 // payoff vector and an assignment realizing it.

@@ -176,16 +176,28 @@ func Run(in *model.Instance, a *model.Assignment, sum *payoff.Summary, opt Optio
 		opt.Tolerance = 1e-6
 	}
 
+	// The algorithm's optimality certificate: the equilibrium check for
+	// FGT/IEGT, the leximin check for LEXIFAIR, none otherwise. Every report
+	// accounts for CheckEquilibrium (run or skipped); CheckLexifair appears
+	// only on LEXIFAIR reports.
+	var cert Check
+	certs := []Check{CheckEquilibrium}
+	switch opt.Algorithm {
+	case "FGT", "IEGT":
+		cert = CheckEquilibrium
+	case "LEXIFAIR":
+		cert = CheckLexifair
+		certs = append(certs, CheckLexifair)
+	}
+
 	// Structure: worker count, per-route validity, disjointness, maxDP.
 	r.Checks = append(r.Checks, CheckStructure)
 	if len(a.Routes) != len(in.Workers) {
 		r.violate(CheckStructure, -1, fmt.Sprintf("%d routes for %d workers",
 			len(a.Routes), len(in.Workers)))
 		// Nothing downstream is well-defined without a per-worker route map.
-		r.Skipped = append(r.Skipped, CheckDeadlines, CheckSummary, CheckVDPS, CheckEquilibrium)
-		if opt.Algorithm == "LEXIFAIR" {
-			r.Skipped = append(r.Skipped, CheckLexifair)
-		}
+		r.Skipped = append(r.Skipped, CheckDeadlines, CheckSummary, CheckVDPS)
+		r.Skipped = append(r.Skipped, certs...)
 		return r
 	}
 	routeOK := r.checkStructure(in, a)
@@ -211,34 +223,25 @@ func Run(in *model.Instance, a *model.Assignment, sum *payoff.Summary, opt Optio
 		g, err = vdps.Generate(in, opt.VDPS)
 		if err != nil {
 			r.violate(CheckVDPS, -1, "candidate regeneration failed: "+err.Error())
-			r.Skipped = append(r.Skipped, CheckEquilibrium)
-			if opt.Algorithm == "LEXIFAIR" {
-				r.Skipped = append(r.Skipped, CheckLexifair)
-			}
+			r.Skipped = append(r.Skipped, certs...)
 			return r
 		}
 	}
 	membershipOK := r.checkVDPS(in, g, a, routeOK)
 
-	// Equilibrium: only meaningful for a converged game-theoretic solve on
-	// an assignment whose routes all live in the strategy spaces (otherwise
+	// The certificate is only meaningful for a converged run on an
+	// assignment whose routes all live in the strategy spaces (otherwise
 	// LoadAssignment fails and the membership violation is already reported).
-	if (opt.Algorithm == "FGT" || opt.Algorithm == "IEGT") && opt.Converged && membershipOK {
-		r.Checks = append(r.Checks, CheckEquilibrium)
-		r.checkEquilibrium(in, g, a, opt)
-	} else {
-		r.Skipped = append(r.Skipped, CheckEquilibrium)
-	}
-
-	// Leximin: applicable to LEXIFAIR solves only, and — like the
-	// equilibrium certificates — only meaningful for a converged run whose
-	// routes all live in the strategy spaces.
-	if opt.Algorithm == "LEXIFAIR" {
-		if opt.Converged && membershipOK {
-			r.Checks = append(r.Checks, CheckLexifair)
+	for _, c := range certs {
+		if c != cert || !opt.Converged || !membershipOK {
+			r.Skipped = append(r.Skipped, c)
+			continue
+		}
+		r.Checks = append(r.Checks, c)
+		if c == CheckLexifair {
 			r.checkLexifair(g, a)
 		} else {
-			r.Skipped = append(r.Skipped, CheckLexifair)
+			r.checkEquilibrium(in, g, a, opt)
 		}
 	}
 	return r

@@ -2,35 +2,32 @@ package evo
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"fairtask/internal/game"
-	"fairtask/internal/obs"
 )
 
-// captureRecorder collects RecordIteration calls so the optimized and
-// reference solvers' telemetry streams can be compared exactly.
-type captureRecorder struct {
-	algos []string
-	stats []game.IterationStat
-}
-
-func (r *captureRecorder) RecordIteration(algo string, st game.IterationStat) {
-	r.algos = append(r.algos, algo)
-	r.stats = append(r.stats, st)
-}
-
-func (r *captureRecorder) RecordVDPS(obs.VDPSEvent)     {}
-func (r *captureRecorder) RecordSolve(obs.SolveEvent)   {}
-func (r *captureRecorder) RecordAssign(obs.AssignEvent) {}
-
 // sameResult requires bit-identical results from the allocation-free IEGT
-// and the retained reference implementation.
+// and the retained reference implementation, switch count included (which
+// must also equal the trace's summed changes).
 func sameResult(t *testing.T, label string, got, want *game.Result) {
 	t.Helper()
 	if got.Iterations != want.Iterations || got.Converged != want.Converged {
 		t.Fatalf("%s: (iterations, converged) = (%d, %v), reference (%d, %v)",
 			label, got.Iterations, got.Converged, want.Iterations, want.Converged)
+	}
+	if got.Switches != want.Switches {
+		t.Fatalf("%s: switches = %d, reference %d", label, got.Switches, want.Switches)
+	}
+	if len(got.Trace) > 0 {
+		changes := 0
+		for _, st := range got.Trace {
+			changes += st.Changes
+		}
+		if got.Switches != changes {
+			t.Fatalf("%s: switches = %d, trace changes sum to %d", label, got.Switches, changes)
+		}
 	}
 	for w := range want.Assignment.Routes {
 		if !routesEqual(got.Assignment.Routes[w], want.Assignment.Routes[w]) {
@@ -89,27 +86,32 @@ func TestIEGTMatchesReference(t *testing.T) {
 	}
 }
 
-// TestIEGTRecorderMatchesReference compares the telemetry stream, which
-// exercises the SummaryTracker every round even without Trace.
+// TestIEGTRecorderMatchesReference pins the per-solve switch count that
+// feeds the strategy-changes metric: counted without Trace, it must match
+// the reference and the summed per-round changes of a traced run.
 func TestIEGTRecorderMatchesReference(t *testing.T) {
 	g := mustGen(t, gridInstance(10, 5, 2, 100, 3))
 	for seed := int64(0); seed < 3; seed++ {
-		var recGot, recWant captureRecorder
-		if _, err := IEGT(context.Background(), g, Options{Seed: seed, Recorder: &recGot}); err != nil {
+		got, err := IEGT(context.Background(), g, Options{Seed: seed})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReferenceIEGT(context.Background(), g, Options{Seed: seed, Recorder: &recWant}); err != nil {
+		want, err := ReferenceIEGT(context.Background(), g, Options{Seed: seed})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if len(recGot.stats) != len(recWant.stats) {
-			t.Fatalf("seed %d: %d recorded rounds, reference %d",
-				seed, len(recGot.stats), len(recWant.stats))
+		sameResult(t, fmt.Sprintf("seed %d", seed), got, want)
+		traced, err := ReferenceIEGT(context.Background(), g, Options{Seed: seed, Trace: true})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range recWant.stats {
-			if recGot.algos[i] != recWant.algos[i] || recGot.stats[i] != recWant.stats[i] {
-				t.Fatalf("seed %d round %d: recorded (%s, %+v), reference (%s, %+v)",
-					seed, i, recGot.algos[i], recGot.stats[i], recWant.algos[i], recWant.stats[i])
-			}
+		changes := 0
+		for _, st := range traced.Trace {
+			changes += st.Changes
+		}
+		if got.Switches != changes {
+			t.Fatalf("seed %d: untraced switches = %d, traced reference changes sum to %d",
+				seed, got.Switches, changes)
 		}
 	}
 }

@@ -59,32 +59,6 @@ func TestIEGTParallelMatchesReference(t *testing.T) {
 	}
 }
 
-// TestIEGTParallelRecorderMatchesReference compares the per-round telemetry
-// stream of the parallel sweep against the sequential reference: the
-// speculative phase must not add, drop or reorder a single recorded round.
-func TestIEGTParallelRecorderMatchesReference(t *testing.T) {
-	g := mustGen(t, gridInstance(14, 8, 2, 100, 3))
-	for seed := int64(0); seed < 3; seed++ {
-		var recGot, recWant captureRecorder
-		if _, err := IEGT(context.Background(), g, Options{Seed: seed, Parallel: 4, Recorder: &recGot}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ReferenceIEGT(context.Background(), g, Options{Seed: seed, Recorder: &recWant}); err != nil {
-			t.Fatal(err)
-		}
-		if len(recGot.stats) != len(recWant.stats) {
-			t.Fatalf("seed %d: %d recorded rounds, reference %d",
-				seed, len(recGot.stats), len(recWant.stats))
-		}
-		for i := range recWant.stats {
-			if recGot.algos[i] != recWant.algos[i] || recGot.stats[i] != recWant.stats[i] {
-				t.Fatalf("seed %d round %d: recorded (%s, %+v), reference (%s, %+v)",
-					seed, i, recGot.algos[i], recGot.stats[i], recWant.algos[i], recWant.stats[i])
-			}
-		}
-	}
-}
-
 // TestIEGTParallelSweepSpeculates proves the speculative phase actually runs
 // under the adaptive heuristic — otherwise the bit-exactness tests above
 // would be vacuous. Round spans record a "spec" attribute when phase A ran.
@@ -159,6 +133,36 @@ func TestWithDefaultsToleranceSentinel(t *testing.T) {
 		got := Options{Tolerance: c.in}.withDefaults().Tolerance
 		if got != c.want {
 			t.Errorf("Tolerance %v: withDefaults -> %v, want %v", c.in, got, c.want)
+		}
+	}
+}
+
+// TestIEGTParallelRecorderMatchesReference pins the parallel sweep's switch
+// count against the sequential reference: the speculative phase must not
+// add or drop a single strategy change, with or without Trace.
+func TestIEGTParallelRecorderMatchesReference(t *testing.T) {
+	g := mustGen(t, gridInstance(14, 8, 2, 100, 3))
+	for seed := int64(0); seed < 3; seed++ {
+		got, err := IEGT(context.Background(), g, Options{Seed: seed, Parallel: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ReferenceIEGT(context.Background(), g, Options{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, fmt.Sprintf("seed %d", seed), got, want)
+		traced, err := ReferenceIEGT(context.Background(), g, Options{Seed: seed, Trace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		changes := 0
+		for _, st := range traced.Trace {
+			changes += st.Changes
+		}
+		if got.Switches != changes {
+			t.Fatalf("seed %d: untraced switches = %d, traced reference changes sum to %d",
+				seed, got.Switches, changes)
 		}
 	}
 }

@@ -2,37 +2,34 @@ package game
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"fairtask/internal/model"
-	"fairtask/internal/obs"
 	"fairtask/internal/vdps"
 )
 
-// captureRecorder collects RecordIteration calls so the optimized and
-// reference solvers' telemetry streams can be compared exactly.
-type captureRecorder struct {
-	algos []string
-	stats []IterationStat
-}
-
-func (r *captureRecorder) RecordIteration(algo string, st IterationStat) {
-	r.algos = append(r.algos, algo)
-	r.stats = append(r.stats, st)
-}
-
-func (r *captureRecorder) RecordVDPS(obs.VDPSEvent)     {}
-func (r *captureRecorder) RecordSolve(obs.SolveEvent)   {}
-func (r *captureRecorder) RecordAssign(obs.AssignEvent) {}
-
 // sameResult requires bit-identical results: the index-backed solver must
 // reproduce the reference's assignment, iteration count, convergence flag,
-// summary, and trace exactly — not approximately.
+// switch count (which must also equal the trace's summed changes), summary,
+// and trace exactly — not approximately.
 func sameResult(t *testing.T, label string, got, want *Result) {
 	t.Helper()
 	if got.Iterations != want.Iterations || got.Converged != want.Converged {
 		t.Fatalf("%s: (iterations, converged) = (%d, %v), reference (%d, %v)",
 			label, got.Iterations, got.Converged, want.Iterations, want.Converged)
+	}
+	if got.Switches != want.Switches {
+		t.Fatalf("%s: switches = %d, reference %d", label, got.Switches, want.Switches)
+	}
+	if len(got.Trace) > 0 {
+		changes := 0
+		for _, st := range got.Trace {
+			changes += st.Changes
+		}
+		if got.Switches != changes {
+			t.Fatalf("%s: switches = %d, trace changes sum to %d", label, got.Switches, changes)
+		}
 	}
 	if len(got.Assignment.Routes) != len(want.Assignment.Routes) {
 		t.Fatalf("%s: %d routes, reference %d", label,
@@ -109,31 +106,6 @@ func TestFGTMatchesReference(t *testing.T) {
 	}
 }
 
-// TestFGTRecorderMatchesReference compares the per-round telemetry stream,
-// which exercises the SummaryTracker on every iteration even without Trace.
-func TestFGTRecorderMatchesReference(t *testing.T) {
-	g := mustGen(t, gridInstance(12, 6, 2, 100))
-	for seed := int64(0); seed < 3; seed++ {
-		var recGot, recWant captureRecorder
-		if _, err := FGT(context.Background(), g, Options{Seed: seed, Recorder: &recGot}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ReferenceFGT(context.Background(), g, Options{Seed: seed, Recorder: &recWant}); err != nil {
-			t.Fatal(err)
-		}
-		if len(recGot.stats) != len(recWant.stats) {
-			t.Fatalf("seed %d: %d recorded rounds, reference %d",
-				seed, len(recGot.stats), len(recWant.stats))
-		}
-		for i := range recWant.stats {
-			if recGot.algos[i] != recWant.algos[i] || recGot.stats[i] != recWant.stats[i] {
-				t.Fatalf("seed %d round %d: recorded (%s, %+v), reference (%s, %+v)",
-					seed, i, recGot.algos[i], recGot.stats[i], recWant.algos[i], recWant.stats[i])
-			}
-		}
-	}
-}
-
 // TestVerifyNEAcceptsFGTResult keeps the index-backed certificate consistent
 // with the index-backed solver, in both plain and priority modes.
 func TestVerifyNEAcceptsFGTResult(t *testing.T) {
@@ -185,6 +157,36 @@ func TestNewStateParallelMatchesSequential(t *testing.T) {
 			if x, y := a.Strategies[w][si], b.Strategies[w][si]; x != y {
 				t.Fatalf("worker %d strategy %d differs: %+v vs %+v", w, si, x, y)
 			}
+		}
+	}
+}
+
+// TestFGTRecorderMatchesReference pins the per-solve switch count that
+// feeds the strategy-changes metric: counted without Trace, it must match
+// the reference and the summed per-round changes of a traced run.
+func TestFGTRecorderMatchesReference(t *testing.T) {
+	g := mustGen(t, gridInstance(12, 6, 2, 100))
+	for seed := int64(0); seed < 3; seed++ {
+		got, err := FGT(context.Background(), g, Options{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ReferenceFGT(context.Background(), g, Options{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, fmt.Sprintf("seed %d", seed), got, want)
+		traced, err := ReferenceFGT(context.Background(), g, Options{Seed: seed, Trace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		changes := 0
+		for _, st := range traced.Trace {
+			changes += st.Changes
+		}
+		if got.Switches != changes {
+			t.Fatalf("seed %d: untraced switches = %d, traced reference changes sum to %d",
+				seed, got.Switches, changes)
 		}
 	}
 }

@@ -46,10 +46,6 @@ type Options struct {
 	// instead of the default fixed round-robin. The paper plays the game
 	// "in sequence"; random order is an ablation of that choice.
 	RandomOrder bool
-	// Recorder receives one IterationStat per round via RecordIteration.
-	// Nil disables telemetry; per-round statistics are then only computed
-	// when Trace is set.
-	Recorder obs.Recorder
 }
 
 // NoEpsilon selects the strict best response in Options.EpsilonUtility: a
@@ -75,8 +71,7 @@ func (o Options) withDefaults() Options {
 
 // IterationStat records one best-response round for convergence studies.
 // It aliases obs.IterationStat, the canonical per-iteration convergence
-// record, so traces flow into telemetry recorders and the CLI's JSONL
-// export without conversion.
+// record, so traces flow into the CLI's JSONL export without conversion.
 type IterationStat = obs.IterationStat
 
 // Result is the outcome of a game-theoretic run (FGT or IEGT).
@@ -91,6 +86,9 @@ type Result struct {
 	// FGT, evolutionary equilibrium for IEGT) was reached before the
 	// iteration cap.
 	Converged bool
+	// Switches is the total number of strategy switches over all rounds —
+	// the sum of Trace[].Changes, counted whether or not Trace is set.
+	Switches int
 	// Trace holds per-round statistics when Options.Trace was set.
 	Trace []IterationStat
 	// Potential is the fairness potential Phi of the final payoffs (FGT: at
@@ -168,7 +166,7 @@ func fgtRun(ctx context.Context, s *State, opt Options, bsp *obs.Span, seeded bo
 	priorities := workerPriorities(s.Instance(), opt.UsePriorities)
 	idx := newUtilityIndex(s, opt.Fairness, priorities)
 	var tracker *SummaryTracker
-	if opt.Trace || opt.Recorder != nil {
+	if opt.Trace {
 		tracker = NewSummaryTracker(s)
 	}
 	bsp.End()
@@ -259,9 +257,10 @@ func fgtRun(ctx context.Context, s *State, opt Options, bsp *obs.Span, seeded bo
 		}
 		prevChanges = changes
 		res.Iterations = iter
+		res.Switches += changes
 		if tracker != nil {
 			diff, avg := tracker.DiffAvg()
-			st := IterationStat{
+			res.Trace = append(res.Trace, IterationStat{
 				Iteration: iter,
 				Changes:   changes,
 				// The reference O(W^2) potential keeps traces bit-comparable
@@ -269,13 +268,7 @@ func fgtRun(ctx context.Context, s *State, opt Options, bsp *obs.Span, seeded bo
 				Potential:  fairness.Potential(opt.Fairness, s.Payoffs),
 				PayoffDiff: diff,
 				AvgPayoff:  avg,
-			}
-			if opt.Trace {
-				res.Trace = append(res.Trace, st)
-			}
-			if opt.Recorder != nil {
-				opt.Recorder.RecordIteration("FGT", st)
-			}
+			})
 		}
 		rsp.End()
 		if changes == 0 {

@@ -31,12 +31,12 @@ func BenchmarkRegistryLookup(b *testing.B) {
 	}
 }
 
-func BenchmarkRecordIteration(b *testing.B) {
+func BenchmarkRecordSolve(b *testing.B) {
 	rec := NewMetricsRecorder(NewRegistry())
-	st := IterationStat{Iteration: 3, Changes: 2, Potential: 10, PayoffDiff: 1.5, AvgPayoff: 6}
+	e := SolveEvent{Algorithm: "FGT", Iterations: 3, Switches: 2, Converged: true, Elapsed: time.Millisecond}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rec.RecordIteration("FGT", st)
+		rec.RecordSolve(e)
 	}
 }
 

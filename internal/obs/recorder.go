@@ -7,8 +7,9 @@ import (
 
 // IterationStat records one round of a game-theoretic solver run (FGT
 // best-response or IEGT replicator dynamics). It is the canonical
-// per-iteration convergence record: game.Result.Trace, the Recorder hook,
-// and the CLI's --trace-out JSONL export all use this type.
+// per-iteration convergence record: game.Result.Trace and the CLI's
+// --trace-out JSONL export both use this type. Telemetry does not see
+// individual rounds; it reads the per-solve totals in SolveEvent.
 type IterationStat struct {
 	// Iteration is the 1-based round number.
 	Iteration int `json:"iteration"`
@@ -53,6 +54,9 @@ type SolveEvent struct {
 	// Iterations is the number of game rounds executed (zero for the
 	// non-iterative baselines).
 	Iterations int
+	// Switches is the number of worker strategy switches over all rounds
+	// (game.Result.Switches; zero for the non-iterative baselines).
+	Switches int
 	// Converged reports whether an equilibrium was reached before the cap.
 	Converged bool
 	// Elapsed is the solve wall time, excluding VDPS generation.
@@ -81,17 +85,17 @@ type AssignEvent struct {
 	Elapsed time.Duration
 }
 
-// Recorder receives telemetry events from the solve path. Implementations
-// must be safe for concurrent use: the platform solves centers in parallel
-// and the HTTP service handles overlapping requests. A nil Recorder means
-// telemetry is disabled; emitting code guards every call behind a nil check
-// so the disabled path costs one pointer comparison.
+// Recorder receives telemetry events from the solve path. The platform
+// layer (internal/platform) is the only emitter: it builds every event from
+// what the solver kernels return, so the kernels carry no telemetry hook.
+// Implementations must be safe for concurrent use: the platform solves
+// centers in parallel and the HTTP service handles overlapping requests. A
+// nil Recorder means telemetry is disabled; the platform guards every call
+// behind a nil check so the disabled path costs one pointer comparison.
 type Recorder interface {
-	// RecordVDPS is called once per candidate-generation run.
+	// RecordVDPS is called once per successful candidate-generation run,
+	// including runs whose solve then failed and was retried.
 	RecordVDPS(VDPSEvent)
-	// RecordIteration is called after every FGT/IEGT round with the
-	// algorithm name and the round's convergence statistics.
-	RecordIteration(algorithm string, stat IterationStat)
 	// RecordSolve is called once per completed single-center solve.
 	RecordSolve(SolveEvent)
 	// RecordAssign is called once per completed multi-center assignment.
@@ -158,17 +162,6 @@ func (m *MetricsRecorder) RecordVDPS(e VDPSEvent) {
 	m.vdpsSeconds.Observe(e.Elapsed.Seconds())
 }
 
-// RecordIteration implements Recorder: it accumulates strategy switches per
-// algorithm. Per-round payoff gauges were removed here — with centers
-// solving in parallel, interleaved rounds of different centers made a
-// last-write-wins gauge meaningless; the final per-solve values are now
-// observed as histograms by RecordSolve instead.
-func (m *MetricsRecorder) RecordIteration(algorithm string, st IterationStat) {
-	m.reg.Counter("fta_solve_strategy_changes_total",
-		"Worker strategy switches across all solver rounds.",
-		L("algorithm", algorithm)).Add(int64(st.Changes))
-}
-
 // Help strings of the per-solve payoff histograms, shared between
 // RecordSolve and SeedAlgorithms so pre-registered and on-demand families
 // are identical.
@@ -180,10 +173,14 @@ const (
 	helpSolveTotal       = "Completed single-center solves."
 )
 
-// RecordSolve implements Recorder.
+// RecordSolve implements Recorder. Payoffs are observed once per solve as
+// histograms: with centers solving in parallel, per-round gauges of
+// interleaved centers would be meaningless.
 func (m *MetricsRecorder) RecordSolve(e SolveEvent) {
 	alg := L("algorithm", e.Algorithm)
 	m.solveIterations.Observe(float64(e.Iterations))
+	m.reg.Counter("fta_solve_strategy_changes_total",
+		helpStrategyChanges, alg).Add(int64(e.Switches))
 	m.solveSeconds.Observe(e.Elapsed.Seconds())
 	m.reg.Histogram("fta_solve_payoff_difference",
 		helpPayoffDifference, PayoffBuckets, alg).Observe(e.Difference)

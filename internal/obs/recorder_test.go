@@ -26,15 +26,19 @@ func TestMetricsRecorderVDPS(t *testing.T) {
 	}
 }
 
-func TestMetricsRecorderIteration(t *testing.T) {
+// TestMetricsRecorderSolveSwitches covers the per-solve strategy-switch
+// totals: each completed solve adds its Switches to its algorithm's counter.
+func TestMetricsRecorderSolveSwitches(t *testing.T) {
 	reg := NewRegistry()
 	rec := NewMetricsRecorder(reg)
-	rec.RecordIteration("FGT", IterationStat{Iteration: 1, Changes: 4, Potential: 9, PayoffDiff: 2.5, AvgPayoff: 7})
-	rec.RecordIteration("FGT", IterationStat{Iteration: 2, Changes: 1, Potential: 11, PayoffDiff: 1.25, AvgPayoff: 7.5})
+	rec.RecordSolve(SolveEvent{Algorithm: "FGT", Iterations: 3, Switches: 4, Converged: true})
+	rec.RecordSolve(SolveEvent{Algorithm: "FGT", Iterations: 2, Switches: 1, Converged: true})
+	rec.RecordSolve(SolveEvent{Algorithm: "IEGT", Iterations: 4, Switches: 6, Converged: true})
 
-	alg := L("algorithm", "FGT")
-	if got := reg.Counter("fta_solve_strategy_changes_total", "", alg).Value(); got != 5 {
-		t.Errorf("strategy changes = %d, want 5", got)
+	for alg, want := range map[string]int64{"FGT": 5, "IEGT": 6} {
+		if got := reg.Counter("fta_solve_strategy_changes_total", "", L("algorithm", alg)).Value(); got != want {
+			t.Errorf("%s strategy changes = %d, want %d", alg, got, want)
+		}
 	}
 }
 

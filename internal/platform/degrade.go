@@ -95,6 +95,28 @@ type rung struct {
 	solver assign.Assigner
 	// generate builds the rung's candidate generator.
 	generate func(ctx context.Context, in *model.Instance) (*vdps.Generator, error)
+	// sampled marks generate as the randomized sampler rather than the
+	// exact DP, for telemetry and labels.
+	sampled bool
+}
+
+// label names the rung in spans and errors.
+func (rg rung) label() string {
+	switch {
+	case rg.name != "":
+		return rg.name
+	case rg.sampled:
+		return RungSampled
+	default:
+		return "exact"
+	}
+}
+
+// sampledGenerator builds candidates with vdps.GenerateSampledContext.
+func sampledGenerator(sopt vdps.SampleOptions) func(context.Context, *model.Instance) (*vdps.Generator, error) {
+	return func(ctx context.Context, in *model.Instance) (*vdps.Generator, error) {
+		return vdps.GenerateSampledContext(ctx, in, sopt)
+	}
 }
 
 // SolveInstance generates candidates for one center and runs the solver,
@@ -105,29 +127,19 @@ type rung struct {
 // not fatal — policy is the caller's; violations on degraded rungs reject
 // the rung and engage the next one.
 func SolveInstance(ctx context.Context, in *model.Instance, solver assign.Assigner, opt Options) (*game.Result, *audit.Report, error) {
-	vopt := opt.VDPS
-	if vopt.Recorder == nil {
-		vopt.Recorder = opt.Recorder
-	}
 	exactGen := func(ctx context.Context, in *model.Instance) (*vdps.Generator, error) {
-		return vdps.GenerateContext(ctx, in, vopt)
+		return vdps.GenerateContext(ctx, in, opt.VDPS)
 	}
 	if opt.Degrade == nil {
 		return solveRung(ctx, in, rung{solver: solver, generate: exactGen}, opt)
 	}
 
-	d := opt.Degrade.withDefaults(vopt)
-	sopt := d.Sample
-	if sopt.Recorder == nil {
-		sopt.Recorder = opt.Recorder
-	}
-	sampledGen := func(ctx context.Context, in *model.Instance) (*vdps.Generator, error) {
-		return vdps.GenerateSampledContext(ctx, in, sopt)
-	}
+	d := opt.Degrade.withDefaults(opt.VDPS)
+	sampledGen := sampledGenerator(d.Sample)
 	ladder := []rung{
 		{name: "", budget: d.ExactBudget, solver: solver, generate: exactGen},
-		{name: RungSampled, budget: d.SampledBudget, solver: solver, generate: sampledGen},
-		{name: RungGreedy, solver: assign.GTA{}, generate: sampledGen},
+		{name: RungSampled, budget: d.SampledBudget, solver: solver, generate: sampledGen, sampled: true},
+		{name: RungGreedy, solver: assign.GTA{}, generate: sampledGen, sampled: true},
 	}
 
 	var errs []error
@@ -139,11 +151,7 @@ func SolveInstance(ctx context.Context, in *model.Instance, solver assign.Assign
 		if err == nil {
 			return res, rep, nil
 		}
-		label := rg.name
-		if label == "" {
-			label = "exact"
-		}
-		errs = append(errs, fmt.Errorf("%s rung: %w", label, err))
+		errs = append(errs, fmt.Errorf("%s rung: %w", rg.label(), err))
 		// A dead parent context means the caller is out of time, not the
 		// rung: stop the ladder instead of burning CPU on fallbacks nobody
 		// will read.
@@ -154,16 +162,27 @@ func SolveInstance(ctx context.Context, in *model.Instance, solver assign.Assign
 	return nil, nil, fmt.Errorf("platform: degradation ladder exhausted: %w", errors.Join(errs...))
 }
 
+// SolveSampled runs the solver once over sampled candidates
+// (vdps.GenerateSampledContext) instead of the exact DP: no retry and no
+// degradation ladder, but the same per-solve failpoint, telemetry and audit
+// as a SolveInstance rung. Options.VDPS, Retry, Degrade and Pool are
+// ignored. The report is non-nil exactly when Options.Audit was set.
+func SolveSampled(ctx context.Context, in *model.Instance, solver assign.Assigner, sopt vdps.SampleOptions, opt Options) (*game.Result, *audit.Report, error) {
+	opt.Retry = nil
+	return solveRung(ctx, in, rung{solver: solver, generate: sampledGenerator(sopt), sampled: true}, opt)
+}
+
 // solveRung runs one ladder rung: an optional per-rung budget around
 // generation + solve (+ retries under Options.Retry), the per-solve
 // failpoint, telemetry, and the rung's audit. Degraded rungs are audited
 // unconditionally and an audit violation fails the rung.
+//
+// This is the only place solver telemetry is emitted: one VDPSEvent per
+// successful generation (so a retried attempt counts its generation too)
+// and one SolveEvent per completed solve, both built from what the kernels
+// return.
 func solveRung(ctx context.Context, in *model.Instance, rg rung, opt Options) (*game.Result, *audit.Report, error) {
-	rungLabel := rg.name
-	if rungLabel == "" {
-		rungLabel = "exact"
-	}
-	rsp := obs.SpanFromContext(ctx).Child("rung." + rungLabel)
+	rsp := obs.SpanFromContext(ctx).Child("rung." + rg.label())
 	defer rsp.End()
 	rctx := obs.ContextWithSpan(ctx, rsp)
 	if rg.budget > 0 {
@@ -187,10 +206,23 @@ func solveRung(ctx context.Context, in *model.Instance, rg rung, opt Options) (*
 		if err := fpSolve.Hit(actx); err != nil {
 			return fmt.Errorf("platform: solve: %w", err)
 		}
+		gstart := time.Now()
 		var err error
 		g, err = rg.generate(actx, in)
 		if err != nil {
 			return err
+		}
+		if opt.Recorder != nil {
+			st := g.Stats()
+			opt.Recorder.RecordVDPS(obs.VDPSEvent{
+				Points:     len(in.Points),
+				Workers:    len(in.Workers),
+				Subsets:    st.SubsetsExplored,
+				Pruned:     st.ExtensionsPruned,
+				Candidates: st.Candidates,
+				Sampled:    rg.sampled,
+				Elapsed:    time.Since(gstart),
+			})
 		}
 		res, err = rg.solver.Assign(actx, g)
 		return err
@@ -213,6 +245,7 @@ func solveRung(ctx context.Context, in *model.Instance, rg rung, opt Options) (*
 			Workers:    len(in.Workers),
 			Points:     len(in.Points),
 			Iterations: res.Iterations,
+			Switches:   res.Switches,
 			Converged:  res.Converged,
 			Elapsed:    time.Since(start),
 			Degraded:   rg.name,

@@ -37,9 +37,9 @@ type Options struct {
 	// pool's size replaces Parallelism; result aggregation is unchanged
 	// and stays in center order, so results are identical either way.
 	Pool *Pool
-	// Recorder receives one obs.SolveEvent per center and one
-	// obs.AssignEvent for the whole assignment; it is also threaded into
-	// VDPS generation when VDPS.Recorder is unset. Nil disables telemetry.
+	// Recorder receives one obs.VDPSEvent per successful candidate
+	// generation, one obs.SolveEvent per completed center solve and one
+	// obs.AssignEvent for the whole assignment. Nil disables telemetry.
 	Recorder obs.Recorder
 	// Audit enables independent re-verification of every per-center result;
 	// the reports land in Result.Audit. The options' Generator, Algorithm

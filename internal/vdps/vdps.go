@@ -31,7 +31,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"time"
 
 	"fairtask/internal/bitset"
 	"fairtask/internal/geo"
@@ -60,9 +59,6 @@ type Options struct {
 	// Parallel shards each DP level over this many goroutines. Values
 	// below 2 keep the sequential path. Results are identical either way.
 	Parallel int
-	// Recorder receives one obs.VDPSEvent per successful generation run.
-	// Nil disables telemetry.
-	Recorder obs.Recorder
 }
 
 // ErrTooManySets is returned when Options.MaxSets is exceeded.
@@ -193,7 +189,6 @@ func Generate(in *model.Instance, opt Options) (*Generator, error) {
 // solve time of large instances, so this is where a canceled request saves
 // the most work.
 func GenerateContext(ctx context.Context, in *model.Instance, opt Options) (*Generator, error) {
-	start := time.Now()
 	if err := in.Validate(); err != nil {
 		return nil, fmt.Errorf("vdps: %w", err)
 	}
@@ -293,16 +288,6 @@ func GenerateContext(ctx context.Context, in *model.Instance, opt Options) (*Gen
 	}
 
 	g.finalizeCandidates(byCand)
-	if opt.Recorder != nil {
-		opt.Recorder.RecordVDPS(obs.VDPSEvent{
-			Points:     n,
-			Workers:    len(in.Workers),
-			Subsets:    g.stats.SubsetsExplored,
-			Pruned:     g.stats.ExtensionsPruned,
-			Candidates: g.stats.Candidates,
-			Elapsed:    time.Since(start),
-		})
-	}
 	return g, nil
 }
 
