@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"math/rand"
 	"net/http"
 	"net/http/pprof"
@@ -241,11 +240,7 @@ func cmdAssign(args []string) error {
 		defer sp.Close()
 		opt.Pool = sp
 	}
-	if *eps > 0 {
-		opt.VDPS.Epsilon = *eps
-	} else {
-		opt.VDPS.Epsilon = math.Inf(1)
-	}
+	opt.VDPS.Epsilon = *eps
 	if *degrade {
 		opt.Degrade = &fairtask.DegradeOptions{
 			ExactBudget:   *degradeTO,
@@ -487,11 +482,7 @@ func cmdReport(args []string) error {
 		return err
 	}
 	opt := fairtask.Options{Algorithm: fairtask.Algorithm(*alg), Seed: *seed}
-	if *eps > 0 {
-		opt.VDPS.Epsilon = *eps
-	} else {
-		opt.VDPS.Epsilon = math.Inf(1)
-	}
+	opt.VDPS.Epsilon = *eps
 	res, err := fairtask.SolveProblem(prob, opt)
 	if err != nil {
 		return err
@@ -530,11 +521,18 @@ func cmdAudit(args []string) error {
 	var (
 		in     = fs.String("in", "", "input problem CSV")
 		routes = fs.String("routes", "", "route CSV written by \"fta assign -routes\"")
-		alg    = fs.String("alg", "", "algorithm that produced the routes; FGT or IEGT enables the equilibrium check, LEXIFAIR the leximin check")
+		alg    = fs.String("alg", "", "algorithm that produced the routes (MPTA, GTA, FGT, IEGT, MMTA or LEXIFAIR); FGT or IEGT enables the equilibrium check, LEXIFAIR the leximin check")
 		eps    = fs.Float64("eps", 0, "pruning threshold epsilon in km used for the solve (0 = no pruning)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	// A misspelled algorithm would silently skip its certificate, so -alg
+	// must name an algorithm fairtask can run (empty audits without one).
+	if *alg != "" {
+		if _, err := fairtask.NewAssigner(fairtask.Options{Algorithm: fairtask.Algorithm(*alg)}); err != nil {
+			return fmt.Errorf("-alg: %w", err)
+		}
 	}
 	prob, err := loadProblem(*in)
 	if err != nil {
@@ -554,11 +552,7 @@ func cmdAudit(args []string) error {
 	}
 
 	opt := fairtask.AuditOptions{Algorithm: *alg, Converged: *alg != ""}
-	if *eps > 0 {
-		opt.VDPS.Epsilon = *eps
-	} else {
-		opt.VDPS.Epsilon = math.Inf(1)
-	}
+	opt.VDPS.Epsilon = *eps
 
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "center\tworkers\tassigned\tP_dif\tavg payoff\tresult")
@@ -689,11 +683,7 @@ func cmdRender(args []string) error {
 		return fmt.Errorf("center %d not found", *center)
 	}
 	opt := fairtask.Options{Algorithm: fairtask.Algorithm(*alg), Seed: *seed}
-	if *eps > 0 {
-		opt.VDPS.Epsilon = *eps
-	} else {
-		opt.VDPS.Epsilon = math.Inf(1)
-	}
+	opt.VDPS.Epsilon = *eps
 	res, err := fairtask.Solve(inst, opt)
 	if err != nil {
 		return err

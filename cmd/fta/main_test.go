@@ -521,6 +521,65 @@ func TestAuditRequiresRoutes(t *testing.T) {
 	}
 }
 
+// TestAuditRejectsUnknownAlgorithm pins -alg validation: a misspelled
+// algorithm must not silently skip the certificate. Dropping one worker's
+// FGT route breaks the equilibrium, which -alg FGT catches; "fgt" and
+// "BOGUS" are refused instead of auditing without a certificate, and an
+// empty -alg still runs the structural checks only.
+func TestAuditRejectsUnknownAlgorithm(t *testing.T) {
+	dir := t.TempDir()
+	csv := filepath.Join(dir, "p.csv")
+	routes := filepath.Join(dir, "routes.csv")
+	if err := run([]string{"gen", "-dataset", "gm", "-seed", "4", "-tasks", "40",
+		"-workers", "5", "-points", "10", "-out", csv}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := capture(t, func() error {
+		return run([]string{"assign", "-in", csv, "-alg", "FGT", "-routes", routes})
+	}); err != nil {
+		t.Fatalf("assign -routes: %v", err)
+	}
+
+	// Drop every row of the first exported worker's route.
+	data, err := os.ReadFile(routes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if len(lines) < 3 {
+		t.Fatalf("route export too small:\n%s", data)
+	}
+	worker := strings.Split(lines[1], ",")[1]
+	kept := lines[:1]
+	for _, l := range lines[1:] {
+		if strings.Split(l, ",")[1] != worker {
+			kept = append(kept, l)
+		}
+	}
+	if err := os.WriteFile(routes, []byte(strings.Join(kept, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	audit := func(alg string) (string, error) {
+		return capture(t, func() error {
+			return run([]string{"audit", "-in", csv, "-routes", routes, "-alg", alg})
+		})
+	}
+	out, err := audit("FGT")
+	if err == nil || !strings.Contains(out, "equilibrium") {
+		t.Fatalf("-alg FGT accepted a broken equilibrium (err %v):\n%s", err, out)
+	}
+	for _, alg := range []string{"fgt", "BOGUS"} {
+		out, err := audit(alg)
+		if err == nil || !strings.Contains(err.Error(), "unknown algorithm") {
+			t.Errorf("-alg %s: err = %v, want unknown algorithm\n%s", alg, err, out)
+		}
+	}
+	if out, err := audit(""); err != nil {
+		t.Errorf("empty -alg runs the structural checks only, got %v:\n%s", err, out)
+	}
+}
+
 // The full LEXIFAIR pipeline: assign with route export, then audit the
 // exported routes under the leximin certificate.
 func TestLexifairAssignAndAuditPipeline(t *testing.T) {

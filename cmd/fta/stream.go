@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"sort"
 	"text/tabwriter"
@@ -81,10 +80,7 @@ func cmdStream(args []string) error {
 	if err != nil {
 		return err
 	}
-	vopt := vdps.Options{Epsilon: math.Inf(1)}
-	if *eps > 0 {
-		vopt.Epsilon = *eps
-	}
+	vopt := vdps.Options{Epsilon: *eps}
 	ds, err := stream.GenerateStream(in, stream.StreamConfig{
 		Seed: *seed, Rate: *rate, Duration: *duration, Lifetime: *lifetime,
 		ChurnRate: *churn, RepriceRate: *reprice,

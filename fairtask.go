@@ -493,9 +493,24 @@ func NewAssigner(opt Options) (Assigner, error) {
 	case AlgMPTA:
 		return assign.MPTA{TopK: opt.MPTATopK, NodeBudget: opt.MPTANodeBudget}, nil
 	case AlgFGT, "":
-		return fgtAssigner{opt: opt}, nil
+		return game.Options{
+			Fairness:       opt.Fairness,
+			MaxIterations:  opt.MaxIterations,
+			Seed:           opt.Seed,
+			EpsilonUtility: opt.EpsilonUtility,
+			Parallel:       opt.SweepParallel,
+			UsePriorities:  opt.UsePriorities,
+			Trace:          opt.Trace,
+			RandomOrder:    opt.RandomOrder,
+		}, nil
 	case AlgIEGT:
-		return iegtAssigner{opt: opt}, nil
+		return evo.Options{
+			MaxIterations: opt.MaxIterations,
+			Seed:          opt.Seed,
+			Parallel:      opt.SweepParallel,
+			Trace:         opt.Trace,
+			MutationRate:  opt.MutationRate,
+		}, nil
 	case AlgMMTA:
 		return assign.MMTA{}, nil
 	case AlgLexifair:
@@ -505,45 +520,10 @@ func NewAssigner(opt Options) (Assigner, error) {
 	}
 }
 
-// fgtAssigner adapts game.FGT to the Assigner interface.
-type fgtAssigner struct{ opt Options }
-
-// Name implements Assigner.
-func (fgtAssigner) Name() string { return string(AlgFGT) }
-
-// Assign implements Assigner.
-func (a fgtAssigner) Assign(ctx context.Context, g *vdps.Generator) (*game.Result, error) {
-	return game.FGT(ctx, g, game.Options{
-		Fairness:       a.opt.Fairness,
-		MaxIterations:  a.opt.MaxIterations,
-		Seed:           a.opt.Seed,
-		EpsilonUtility: a.opt.EpsilonUtility,
-		Parallel:       a.opt.SweepParallel,
-		UsePriorities:  a.opt.UsePriorities,
-		Trace:          a.opt.Trace,
-		RandomOrder:    a.opt.RandomOrder,
-	})
-}
-
-// iegtAssigner adapts evo.IEGT to the Assigner interface.
-type iegtAssigner struct{ opt Options }
-
-// Name implements Assigner.
-func (iegtAssigner) Name() string { return string(AlgIEGT) }
-
-// Assign implements Assigner.
-func (a iegtAssigner) Assign(ctx context.Context, g *vdps.Generator) (*game.Result, error) {
-	return evo.IEGT(ctx, g, evo.Options{
-		MaxIterations: a.opt.MaxIterations,
-		Seed:          a.opt.Seed,
-		Parallel:      a.opt.SweepParallel,
-		Trace:         a.opt.Trace,
-		MutationRate:  a.opt.MutationRate,
-	})
-}
-
 // Solve runs the selected algorithm on a single-center instance: it
-// generates the VDPS candidates and computes the assignment.
+// generates the VDPS candidates and computes the assignment. An instance
+// without workers yields the empty assignment, as a workerless center does
+// in SolveProblem.
 func Solve(in *Instance, opt Options) (*Result, error) {
 	return SolveContext(context.Background(), in, opt)
 }
@@ -570,28 +550,14 @@ func SolveContext(ctx context.Context, in *Instance, opt Options) (*Result, erro
 // platformOptions derives the platform-layer configuration from the public
 // options.
 func platformOptions(opt Options) platform.Options {
-	popt := platform.Options{
+	return platform.Options{
 		VDPS:        opt.VDPS,
 		Parallelism: opt.Parallelism,
 		Pool:        opt.Pool,
 		Recorder:    opt.Recorder,
+		Audit:       opt.Audit,
 		Retry:       opt.Retry,
 		Degrade:     opt.Degrade,
-	}
-	if opt.Audit {
-		aopt := auditOptions(opt)
-		popt.Audit = &aopt
-	}
-	return popt
-}
-
-// auditOptions derives the audit configuration matching a solve's options.
-func auditOptions(opt Options) AuditOptions {
-	return AuditOptions{
-		VDPS:           opt.VDPS,
-		Fairness:       opt.Fairness,
-		EpsilonUtility: opt.EpsilonUtility,
-		UsePriorities:  opt.UsePriorities,
 	}
 }
 

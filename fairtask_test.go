@@ -56,6 +56,22 @@ func TestSolveUnknownAlgorithm(t *testing.T) {
 	}
 }
 
+// TestSolveWorkerless pins the empty equilibrium for a single-center solve
+// without workers, the same result SolveProblem gives a workerless center.
+func TestSolveWorkerless(t *testing.T) {
+	in := gmInstance(t)
+	in.Workers = nil
+	for _, alg := range fairtask.ExtendedAlgorithms() {
+		res, err := fairtask.Solve(in, fairtask.Options{Algorithm: alg, Audit: true})
+		if err != nil {
+			t.Fatalf("%s: %v", alg, err)
+		}
+		if len(res.Assignment.Routes) != 0 || len(res.Summary.Payoffs) != 0 || !res.Converged {
+			t.Errorf("%s: want the converged empty equilibrium, got %+v", alg, res)
+		}
+	}
+}
+
 func TestNewAssignerNames(t *testing.T) {
 	for _, alg := range fairtask.Algorithms() {
 		a, err := fairtask.NewAssigner(fairtask.Options{Algorithm: alg})

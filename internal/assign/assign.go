@@ -1,7 +1,8 @@
 // Package assign provides the non-game-theoretic baselines the paper
 // evaluates against — GTA (Greedy Task Assignment) and MPTA (Maximal Payoff
 // based Task Assignment) — behind a common Assigner interface that the
-// game-theoretic methods also satisfy via adapters in the root package.
+// game-theoretic methods also satisfy: game.Options (FGT) and evo.Options
+// (IEGT) implement it directly, so their options are their solvers.
 package assign
 
 import (

@@ -6,11 +6,20 @@ import (
 	"math/rand"
 	"testing"
 
+	"fairtask/internal/evo"
 	"fairtask/internal/game"
 	"fairtask/internal/geo"
 	"fairtask/internal/model"
 	"fairtask/internal/travel"
 	"fairtask/internal/vdps"
+)
+
+// The game-theoretic solvers' options are Assigners themselves: FGT and
+// IEGT reach the platform, the experiments and the stream engine without an
+// adapter type in between.
+var (
+	_ Assigner = game.Options{}
+	_ Assigner = evo.Options{}
 )
 
 func gridInstance(nPoints, nWorkers, maxDP int, expiry float64, seed int64) *model.Instance {

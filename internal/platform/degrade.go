@@ -121,7 +121,8 @@ func sampledGenerator(sopt vdps.SampleOptions) func(context.Context, *model.Inst
 
 // SolveInstance generates candidates for one center and runs the solver,
 // retrying under Options.Retry and walking the Options.Degrade ladder when
-// rungs fail. The returned audit report is non-nil when Options.Audit was
+// rungs fail. An instance without workers yields EmptyResult without a
+// solver run. The returned audit report is non-nil when Options.Audit was
 // set (any rung) or when a degraded rung served the result (degraded
 // results are always audited). Violations in the final report are reported,
 // not fatal — policy is the caller's; violations on degraded rungs reject
@@ -224,6 +225,10 @@ func solveRung(ctx context.Context, in *model.Instance, rg rung, opt Options) (*
 				Elapsed:    time.Since(gstart),
 			})
 		}
+		if len(in.Workers) == 0 {
+			res = EmptyResult(in)
+			return nil
+		}
 		res, err = rg.solver.Assign(actx, g)
 		return err
 	}
@@ -264,25 +269,28 @@ func solveRung(ctx context.Context, in *model.Instance, rg rung, opt Options) (*
 	return res, rep, nil
 }
 
-// auditRung audits one rung's result. The exact rung is audited exactly when
-// Options.Audit is set, with the caller's parameters. Degraded rungs are
-// always audited — a fallback must never ship an invalid assignment — but
-// when the caller provided no audit parameters the equilibrium certificate
-// is skipped (Converged forced false): the caller's fairness weights are
-// unknown, and the rung's job is the structural guarantees (routes,
-// deadlines, disjointness, VDPS membership). A degraded rung failing its
-// audit is a rung failure, surfaced as an error so the ladder falls through.
+// auditRung audits one rung's result. Every audit parameter comes from the
+// rung itself: its generator, its solver's name and convergence, and for an
+// FGT solver the IAU weights and utility threshold the certificate must
+// match. The exact rung is audited exactly when Options.Audit is set.
+// Degraded rungs are always audited — a fallback must never ship an invalid
+// assignment — but without Options.Audit the certificate is skipped
+// (Converged forced false): the rung's job is then the structural
+// guarantees (routes, deadlines, disjointness, VDPS membership). A degraded
+// rung failing its audit is a rung failure, surfaced as an error so the
+// ladder falls through.
 func auditRung(in *model.Instance, rg rung, res *game.Result, g *vdps.Generator, opt Options) (*audit.Report, error) {
-	if opt.Audit == nil && rg.name == "" {
+	if !opt.Audit && rg.name == "" {
 		return nil, nil
 	}
-	var o audit.Options
-	if opt.Audit != nil {
-		o = *opt.Audit
+	o := audit.Options{
+		Generator: g,
+		Algorithm: rg.solver.Name(),
+		Converged: res.Converged && opt.Audit,
 	}
-	o.Generator = g
-	o.Algorithm = rg.solver.Name()
-	o.Converged = res.Converged && opt.Audit != nil
+	if fgt, ok := rg.solver.(game.Options); ok {
+		o.Fairness, o.EpsilonUtility, o.UsePriorities = fgt.Fairness, fgt.EpsilonUtility, fgt.UsePriorities
+	}
 	rep := audit.Run(in, res.Assignment, &res.Summary, o)
 	if rg.name != "" && !rep.OK() {
 		return nil, fmt.Errorf("platform: %s rung failed verification: %w", rg.name, rep.Err())

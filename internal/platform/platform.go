@@ -42,13 +42,15 @@ type Options struct {
 	// obs.AssignEvent for the whole assignment. Nil disables telemetry.
 	Recorder obs.Recorder
 	// Audit enables independent re-verification of every per-center result;
-	// the reports land in Result.Audit. The options' Generator, Algorithm
-	// and Converged fields are overwritten per center (the center's own
-	// generator is reused, so auditing adds no second candidate
-	// generation). Nil (the default) disables auditing. Violations are
-	// reported, not fatal — policy is the caller's (the library fails the
-	// solve, the HTTP service returns the report).
-	Audit *audit.Options
+	// the reports land in Result.Audit. Every audit parameter is derived
+	// from the solve itself: the center's own generator (so auditing adds no
+	// second candidate generation), the algorithm name and convergence of
+	// the solver that served the rung, and — for an FGT solver — its
+	// Fairness, EpsilonUtility and UsePriorities for the equilibrium
+	// certificate. Violations are reported, not fatal — policy is the
+	// caller's (the library fails the solve, the HTTP service returns the
+	// report).
+	Audit bool
 	// Retry retries each per-center solve attempt (candidate generation +
 	// solver run) under this policy. Nil or MaxAttempts < 2 disables
 	// retrying. Context cancellation and deadline expiry are never retried.
@@ -104,6 +106,15 @@ func (r *Result) AuditErr(p *model.Problem) error {
 	return nil
 }
 
+// EmptyResult is the equilibrium of an instance without workers: the empty
+// assignment, trivially converged. Workerless centers and solves yield it
+// instead of the solvers' game.ErrNoWorkers, so a center (or a streaming
+// engine) can drain to zero workers and refill.
+func EmptyResult(in *model.Instance) *game.Result {
+	a := model.NewAssignment(0)
+	return &game.Result{Assignment: a, Summary: payoff.Summarize(in, a), Converged: true}
+}
+
 // ErrNoInstances is returned for a problem without instances.
 var ErrNoInstances = errors.New("platform: problem has no instances")
 
@@ -133,7 +144,7 @@ func AssignContext(ctx context.Context, p *model.Problem, solver assign.Assigner
 	defer asp.End()
 	start := time.Now()
 	res := &Result{PerCenter: make([]*game.Result, len(p.Instances))}
-	if opt.Audit != nil {
+	if opt.Audit {
 		res.Audit = make([]*audit.Report, len(p.Instances))
 	}
 	var sem chan struct{}
@@ -158,10 +169,7 @@ func AssignContext(ctx context.Context, p *model.Problem, solver assign.Assigner
 		// Centers without workers yield an empty result without a solver
 		// run (or an audit): there is nothing to assign.
 		if len(p.Instances[i].Workers) == 0 {
-			res.PerCenter[i] = &game.Result{
-				Assignment: model.NewAssignment(0),
-				Converged:  true,
-			}
+			res.PerCenter[i] = EmptyResult(&p.Instances[i])
 			continue
 		}
 		i := i

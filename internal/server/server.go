@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"fairtask/internal/assign"
-	"fairtask/internal/audit"
 	"fairtask/internal/dataset"
 	"fairtask/internal/fault"
 	"fairtask/internal/jobs"
@@ -240,10 +239,19 @@ type solveRequest struct {
 	opt    platform.Options
 }
 
-// parseSolveRequest validates the query parameters and CSV body shared by
-// POST /solve and POST /jobs. On failure it writes the error response and
-// returns nil.
-func (h *Handler) parseSolveRequest(w http.ResponseWriter, r *http.Request) *solveRequest {
+// problemQuery holds the query parameters shared by every endpoint that
+// takes a problem CSV body (POST /solve, /jobs and /stream/instance).
+type problemQuery struct {
+	alg  string
+	seed int64
+	eps  float64
+}
+
+// parseProblemQuery caps the request body at MaxBodyBytes and parses the
+// shared query parameters: alg (default FGT), seed (default 1) and eps
+// (default +Inf, no pruning). On failure it writes the 400 response and
+// returns false.
+func (h *Handler) parseProblemQuery(w http.ResponseWriter, r *http.Request) (problemQuery, bool) {
 	maxBody := h.MaxBodyBytes
 	if maxBody <= 0 {
 		maxBody = 32 << 20
@@ -251,49 +259,33 @@ func (h *Handler) parseSolveRequest(w http.ResponseWriter, r *http.Request) *sol
 	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
 
 	q := r.URL.Query()
-	alg := q.Get("alg")
-	if alg == "" {
-		alg = "FGT"
+	pq := problemQuery{alg: q.Get("alg"), seed: 1, eps: math.Inf(1)}
+	if pq.alg == "" {
+		pq.alg = "FGT"
 	}
-	seed := int64(1)
 	if s := q.Get("seed"); s != "" {
 		v, err := strconv.ParseInt(s, 10, 64)
 		if err != nil {
 			errorJSON(w, http.StatusBadRequest, "bad seed: "+err.Error())
-			return nil
+			return pq, false
 		}
-		seed = v
+		pq.seed = v
 	}
-	eps := math.Inf(1)
 	if s := q.Get("eps"); s != "" {
 		v, err := strconv.ParseFloat(s, 64)
 		if err != nil || v <= 0 {
 			errorJSON(w, http.StatusBadRequest, "bad eps")
-			return nil
+			return pq, false
 		}
-		eps = v
+		pq.eps = v
 	}
-	par := 0
-	if s := q.Get("parallel"); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil || v < 0 {
-			errorJSON(w, http.StatusBadRequest, "bad parallel")
-			return nil
-		}
-		par = v
-	}
-	var aopt *audit.Options
-	if s := q.Get("audit"); s != "" {
-		v, err := strconv.ParseBool(s)
-		if err != nil {
-			errorJSON(w, http.StatusBadRequest, "bad audit")
-			return nil
-		}
-		if v {
-			aopt = &audit.Options{VDPS: vdps.Options{Epsilon: eps}}
-		}
-	}
+	return pq, true
+}
 
+// readProblem reads the problem CSV body, answering 413 when it exceeds the
+// cap parseProblemQuery installed and 400 when it does not parse. On
+// failure it returns nil.
+func readProblem(w http.ResponseWriter, r *http.Request) *model.Problem {
 	prob, err := dataset.ReadCSV(r.Body)
 	if err != nil {
 		var tooBig *http.MaxBytesError
@@ -305,7 +297,42 @@ func (h *Handler) parseSolveRequest(w http.ResponseWriter, r *http.Request) *sol
 		errorJSON(w, http.StatusBadRequest, "bad problem CSV: "+err.Error())
 		return nil
 	}
-	solver, err := h.factory(alg, seed)
+	return prob
+}
+
+// parseSolveRequest validates the query parameters and CSV body shared by
+// POST /solve and POST /jobs. On failure it writes the error response and
+// returns nil.
+func (h *Handler) parseSolveRequest(w http.ResponseWriter, r *http.Request) *solveRequest {
+	pq, ok := h.parseProblemQuery(w, r)
+	if !ok {
+		return nil
+	}
+	q := r.URL.Query()
+	par := 0
+	if s := q.Get("parallel"); s != "" {
+		v, err := strconv.Atoi(s)
+		if err != nil || v < 0 {
+			errorJSON(w, http.StatusBadRequest, "bad parallel")
+			return nil
+		}
+		par = v
+	}
+	auditOn := false
+	if s := q.Get("audit"); s != "" {
+		v, err := strconv.ParseBool(s)
+		if err != nil {
+			errorJSON(w, http.StatusBadRequest, "bad audit")
+			return nil
+		}
+		auditOn = v
+	}
+
+	prob := readProblem(w, r)
+	if prob == nil {
+		return nil
+	}
+	solver, err := h.factory(pq.alg, pq.seed)
 	if err != nil {
 		errorJSON(w, http.StatusBadRequest, err.Error())
 		return nil
@@ -314,11 +341,11 @@ func (h *Handler) parseSolveRequest(w http.ResponseWriter, r *http.Request) *sol
 		prob:   prob,
 		solver: solver,
 		opt: platform.Options{
-			VDPS:        vdps.Options{Epsilon: eps},
+			VDPS:        vdps.Options{Epsilon: pq.eps},
 			Parallelism: par,
 			Pool:        h.Pool,
 			Recorder:    h.Recorder,
-			Audit:       aopt,
+			Audit:       auditOn,
 			Retry:       h.retryPolicy(),
 			Degrade:     h.Degrade,
 		},

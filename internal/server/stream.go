@@ -4,11 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
 
-	"fairtask/internal/dataset"
 	"fairtask/internal/obs"
 	"fairtask/internal/stream"
 	"fairtask/internal/vdps"
@@ -50,37 +48,12 @@ type StreamApplyResponse struct {
 // creates (or replaces) the streaming engine, cold-solving it once; every
 // later delta is applied incrementally via POST /stream/events.
 func (h *Handler) streamInstance(w http.ResponseWriter, r *http.Request) {
-	maxBody := h.MaxBodyBytes
-	if maxBody <= 0 {
-		maxBody = 32 << 20
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
-
-	q := r.URL.Query()
-	alg := q.Get("alg")
-	if alg == "" {
-		alg = "FGT"
-	}
-	seed := int64(1)
-	if s := q.Get("seed"); s != "" {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			errorJSON(w, http.StatusBadRequest, "bad seed: "+err.Error())
-			return
-		}
-		seed = v
-	}
-	eps := math.Inf(1)
-	if s := q.Get("eps"); s != "" {
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil || v <= 0 {
-			errorJSON(w, http.StatusBadRequest, "bad eps")
-			return
-		}
-		eps = v
+	pq, ok := h.parseProblemQuery(w, r)
+	if !ok {
+		return
 	}
 	cont := false
-	if s := q.Get("continue"); s != "" {
+	if s := r.URL.Query().Get("continue"); s != "" {
 		v, err := strconv.ParseBool(s)
 		if err != nil {
 			errorJSON(w, http.StatusBadRequest, "bad continue: "+err.Error())
@@ -89,15 +62,8 @@ func (h *Handler) streamInstance(w http.ResponseWriter, r *http.Request) {
 		cont = v
 	}
 
-	prob, err := dataset.ReadCSV(r.Body)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			errorJSON(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-			return
-		}
-		errorJSON(w, http.StatusBadRequest, "bad problem CSV: "+err.Error())
+	prob := readProblem(w, r)
+	if prob == nil {
 		return
 	}
 	if len(prob.Instances) != 1 {
@@ -107,15 +73,15 @@ func (h *Handler) streamInstance(w http.ResponseWriter, r *http.Request) {
 	}
 
 	opt := stream.Options{
-		Algorithm: stream.Algorithm(alg),
-		VDPS:      vdps.Options{Epsilon: eps},
+		Algorithm: stream.Algorithm(pq.alg),
+		VDPS:      vdps.Options{Epsilon: pq.eps},
 		Continue:  cont,
 		Degrade:   h.Degrade,
 		Retry:     h.retryPolicy(),
 		Metrics:   obs.NewStreamMetrics(h.Registry),
 		Recorder:  h.Recorder,
 	}
-	opt.Game.Seed, opt.Evo.Seed = seed, seed
+	opt.Game.Seed, opt.Evo.Seed = pq.seed, pq.seed
 	eng, err := stream.New(r.Context(), &prob.Instances[0], opt)
 	if err != nil {
 		errorJSON(w, http.StatusUnprocessableEntity, "stream init failed: "+err.Error())

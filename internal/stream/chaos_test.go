@@ -172,3 +172,59 @@ func TestLadderDegradedFallback(t *testing.T) {
 	}
 	assertBitExact(t, eng.Snapshot(), coldReference(t, replayed, FGT, 13))
 }
+
+// TestChaosColdFallbackAuditsEngineEpsilon pins the cold fallback's audit
+// parameters to the engine's own FGT options: with a utility threshold of
+// 100 the dynamics stop far from a strict Nash equilibrium, which the
+// certificate must accept because it is checked at the solver's threshold,
+// not the audit default.
+func TestChaosColdFallbackAuditsEngineEpsilon(t *testing.T) {
+	defer fault.DisarmAll()
+	in := gmInstance(t, 14, 60, 10, 24)
+	opt := Options{VDPS: testVDPS}
+	opt.Game.Seed = 14
+	opt.Game.EpsilonUtility = 100
+	eng, err := New(context.Background(), in, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	taskID := liveTask(t, eng)
+
+	fault.Lookup("stream.resolve").Arm(fault.Behavior{Kind: fault.KindError, Count: 1})
+	res, err := eng.Apply(context.Background(), Delta{Seq: 1, Kind: RewardChanged, TaskID: taskID, Reward: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Resolve != ResolveCold {
+		t.Fatalf("resolve = %q, want %q", res.Resolve, ResolveCold)
+	}
+	if res.Audit == nil || !res.Audit.OK() {
+		t.Fatalf("cold fallback audited with the wrong threshold: %+v", res.Audit)
+	}
+}
+
+// TestChaosColdFallbackWorkerless drains the roster to zero workers while
+// the resolve failpoint is armed: the cold fallback must commit the empty
+// equilibrium (the solvers themselves reject workerless instances).
+func TestChaosColdFallbackWorkerless(t *testing.T) {
+	defer fault.DisarmAll()
+	in := gmInstance(t, 15, 20, 1, 8)
+	opt := Options{VDPS: testVDPS}
+	opt.Game.Seed = 15
+	eng, err := New(context.Background(), in, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fault.Lookup("stream.resolve").Arm(fault.Behavior{Kind: fault.KindError, Count: 1})
+	res, err := eng.Apply(context.Background(), Delta{Seq: 1, Kind: WorkerOffline, WorkerID: in.Workers[0].ID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Resolve != ResolveCold {
+		t.Fatalf("resolve = %q, want %q", res.Resolve, ResolveCold)
+	}
+	if snap := eng.Snapshot(); len(snap.Instance.Workers) != 0 || len(snap.Summary.Payoffs) != 0 || !snap.Converged {
+		t.Fatalf("cold fallback did not commit the empty equilibrium: %+v", snap)
+	}
+}

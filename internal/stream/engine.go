@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"fairtask/internal/assign"
 	"fairtask/internal/audit"
 	"fairtask/internal/evo"
 	"fairtask/internal/fault"
@@ -281,6 +282,10 @@ func (e *Engine) ApplyAll(ctx context.Context, ds []Delta) (Result, error) {
 		ordered    [][]vdps.StrategyRef
 		state      *game.State
 		mutated    bool
+		// rebuild and repaired mark the cached workers the incremental
+		// paths must re-enumerate or re-price (for the repriced candidates).
+		rebuild, repaired map[int]bool
+		repriced          []int
 	)
 	switch {
 	case full:
@@ -320,7 +325,7 @@ func (e *Engine) ApplyAll(ctx context.Context, ds []Delta) (Result, error) {
 			return e.recover(ctx, sp, staged, ds, res, start, err, mutated)
 		}
 		mutated = true
-		rebuild := workersReferencing(e.strategies, rep.Dropped)
+		rebuild = workersReferencing(e.strategies, rep.Dropped)
 		for id, list := range e.strategies {
 			if rebuild[id] {
 				continue // stale indices; the list is replaced below anyway
@@ -341,31 +346,11 @@ func (e *Engine) ApplyAll(ctx context.Context, ds []Delta) (Result, error) {
 				}
 			}
 		}
-		var repaired map[int]bool
-		var repriced []int
 		if len(rewardPoints) > 0 {
 			if repriced = gen.RepairRewards(rewardPoints); len(repriced) > 0 {
 				repaired = workersReferencing(e.strategies, repriced)
 			}
 		}
-		strategies = make(map[int][]vdps.StrategyRef, len(staged.Workers))
-		ordered = make([][]vdps.StrategyRef, len(staged.Workers))
-		var sc vdps.StrategyScratch
-		for w := range staged.Workers {
-			id := staged.Workers[w].ID
-			s, cached := e.strategies[id]
-			switch {
-			case !cached || rebuild[id]:
-				s = gen.WorkerStrategies(w, &sc)
-				res.WorkersTouched++
-			case repaired[id]:
-				gen.RepairStrategyPayoffs(w, s, repriced, &sc)
-				res.WorkersTouched++
-			}
-			strategies[id], ordered[w] = s, s
-		}
-		res.WorkersTouched += departed
-		state = game.NewStateWithStrategies(gen, ordered)
 
 	default:
 		// Warm repair: rebind the generator to the staged instance, patch
@@ -378,13 +363,11 @@ func (e *Engine) ApplyAll(ctx context.Context, ds []Delta) (Result, error) {
 		// bit-identical to a cold rebuild.
 		gen = e.gen
 		gen.Rebind(staged)
-		var affected map[int]bool
-		var repriced []int
 		if len(rewardPoints) > 0 {
 			repriced = gen.RepairRewards(rewardPoints)
 			if len(repriced) > 0 {
 				mutated = true
-				affected = workersReferencing(e.strategies, repriced)
+				repaired = workersReferencing(e.strategies, repriced)
 			}
 		}
 		if !mutated && !plan.workersChanged {
@@ -399,6 +382,13 @@ func (e *Engine) ApplyAll(ctx context.Context, ds []Delta) (Result, error) {
 			return res, nil
 		}
 		res.Resolve = ResolveWarm
+	}
+	if !full {
+		// One repair loop for both incremental paths (on the warm path
+		// rebuild is empty): uncached or invalidated workers get a fresh
+		// enumeration, workers referencing a re-priced candidate get their
+		// cached lists re-keyed and re-sorted in place, everyone else
+		// reuses the cached list.
 		strategies = make(map[int][]vdps.StrategyRef, len(staged.Workers))
 		ordered = make([][]vdps.StrategyRef, len(staged.Workers))
 		var sc vdps.StrategyScratch
@@ -406,10 +396,10 @@ func (e *Engine) ApplyAll(ctx context.Context, ds []Delta) (Result, error) {
 			id := staged.Workers[w].ID
 			s, cached := e.strategies[id]
 			switch {
-			case !cached:
+			case !cached || rebuild[id]:
 				s = gen.WorkerStrategies(w, &sc)
 				res.WorkersTouched++
-			case affected[id]:
+			case repaired[id]:
 				gen.RepairStrategyPayoffs(w, s, repriced, &sc)
 				res.WorkersTouched++
 			}
@@ -483,15 +473,20 @@ func (e *Engine) recover(ctx context.Context, sp *obs.Span, staged *model.Instan
 	csp := sp.Child("stream.cold")
 	csp.SetAttr("cause", cause.Error())
 	defer csp.End()
-	solved, report, err := platform.SolveInstance(ctx, staged, dynamicsAssigner{e}, platform.Options{
+	// The configured options are the cold solver: running the dynamics on a
+	// ladder-generated generator is bit-identical to the warm replay on
+	// repaired structures, so an exact-rung fallback changes availability,
+	// not results. The platform audits with the solver's own parameters.
+	var solver assign.Assigner = e.opt.Game
+	if e.opt.Algorithm == IEGT {
+		solver = e.opt.Evo
+	}
+	solved, report, err := platform.SolveInstance(ctx, staged, solver, platform.Options{
 		VDPS:     e.opt.VDPS,
 		Recorder: e.opt.Recorder,
-		Audit: &audit.Options{
-			Fairness:      e.opt.Game.Fairness,
-			UsePriorities: e.opt.Game.UsePriorities,
-		},
-		Retry:   e.opt.Retry,
-		Degrade: e.opt.Degrade,
+		Audit:    true,
+		Retry:    e.opt.Retry,
+		Degrade:  e.opt.Degrade,
 	})
 	if err != nil {
 		if mutated {
@@ -521,11 +516,11 @@ func (e *Engine) recover(ctx context.Context, sp *obs.Span, staged *model.Instan
 }
 
 // runDynamics replays the configured dynamics on a fresh state. A roster
-// without workers yields the empty equilibrium instead of ErrNoWorkers,
-// so an engine can drain to zero workers and refill.
+// without workers yields platform.EmptyResult instead of ErrNoWorkers, so
+// an engine can drain to zero workers and refill.
 func (e *Engine) runDynamics(ctx context.Context, s *game.State, in *model.Instance) (*game.Result, error) {
 	if len(in.Workers) == 0 {
-		return emptyResult(in), nil
+		return platform.EmptyResult(in), nil
 	}
 	if e.opt.Algorithm == IEGT {
 		return evo.IEGTFromState(ctx, s, e.opt.Evo)
@@ -695,27 +690,6 @@ func (e *Engine) observe(r Result, ds []Delta, resolve time.Duration) {
 	m.Seq.Set(float64(e.lastSeq))
 }
 
-// dynamicsAssigner adapts the engine's configured dynamics to the platform
-// ladder's Assigner interface for cold fallbacks. Running the dynamics via
-// the package-level entry points on a ladder-generated generator is
-// bit-identical to the warm replay on repaired structures, so an exact-rung
-// fallback changes availability, not results.
-type dynamicsAssigner struct{ e *Engine }
-
-// Name identifies the dynamics in solve telemetry.
-func (a dynamicsAssigner) Name() string { return string(a.e.opt.Algorithm) }
-
-// Assign solves the generator's instance with the engine's dynamics.
-func (a dynamicsAssigner) Assign(ctx context.Context, g *vdps.Generator) (*game.Result, error) {
-	if len(g.Instance().Workers) == 0 {
-		return emptyResult(g.Instance()), nil
-	}
-	if a.e.opt.Algorithm == IEGT {
-		return evo.IEGT(ctx, g, a.e.opt.Evo)
-	}
-	return game.FGT(ctx, g, a.e.opt.Game)
-}
-
 // harvestStrategies keys a state's strategy spaces by worker ID for the
 // engine's roster-stable cache.
 func harvestStrategies(in *model.Instance, s *game.State) map[int][]vdps.StrategyRef {
@@ -745,10 +719,4 @@ func workersReferencing(cache map[int][]vdps.StrategyRef, changed []int) map[int
 		}
 	}
 	return out
-}
-
-// emptyResult is the equilibrium of a workerless instance.
-func emptyResult(in *model.Instance) *game.Result {
-	a := model.NewAssignment(0)
-	return &game.Result{Assignment: a, Summary: payoff.Summarize(in, a), Converged: true}
 }

@@ -12,6 +12,7 @@ import (
 	"fairtask/internal/game"
 	"fairtask/internal/geo"
 	"fairtask/internal/model"
+	"fairtask/internal/platform"
 	"fairtask/internal/vdps"
 )
 
@@ -35,7 +36,7 @@ func gmInstance(t testing.TB, seed int64, tasks, workers, points int) *model.Ins
 func coldReference(t testing.TB, in *model.Instance, alg Algorithm, seed int64) *game.Result {
 	t.Helper()
 	if len(in.Workers) == 0 {
-		return emptyResult(in)
+		return platform.EmptyResult(in)
 	}
 	g, err := vdps.Generate(in, testVDPS)
 	if err != nil {
